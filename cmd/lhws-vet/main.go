@@ -13,7 +13,7 @@
 // call graph, so suspension and blocking facts propagate across package
 // boundaries (see internal/analysis). Flags:
 //
-//	-tags <list>  build tags forwarded to the loader (e.g. lhwsepoll)
+//	-tags <list>  build tags forwarded to the loader (e.g. netgo)
 //	-json         machine-readable diagnostics on stdout
 //	-facts        dump the computed interprocedural fact table
 //

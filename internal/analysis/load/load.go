@@ -63,7 +63,7 @@ type Config struct {
 	// analysistest harness uses this to load GOPATH-mode fixtures.
 	Env []string
 	// BuildFlags are extra flags for the go command (e.g. "-tags",
-	// "lhwsepoll"), so the suite can analyze tag-gated files.
+	// "netgo"), so the suite can analyze tag-gated files.
 	BuildFlags []string
 }
 

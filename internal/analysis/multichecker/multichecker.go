@@ -14,7 +14,7 @@
 //	-json        emit diagnostics as a JSON array of
 //	             {file,line,col,analyzer,message} objects
 //	-tags <t>    build-tag list forwarded to the go command, so
-//	             tag-gated files (e.g. -tags lhwsepoll) are analyzed
+//	             tag-gated files (e.g. -tags netgo) are analyzed
 //	-facts       after the diagnostics, emit the computed function
 //	             summaries (the fact-export format) as JSON
 package multichecker

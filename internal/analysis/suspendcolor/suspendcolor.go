@@ -14,13 +14,13 @@
 //     a *different* worker, so owner-side state cached across the
 //     suspension (the worker, its active deque) is stale — the
 //     use-after-migration bug;
-//   - ExternalOp implementations (Arm, CancelExternal): the runtime
-//     invokes them from completion and cancellation goroutines, and
-//     the interface contract says they must not block or suspend;
-//   - I/O submission backends (the io package's backend interface)
-//     and timer-wheel callbacks (functions passed to
-//     timerwheel.AfterFunc or AfterFuncT), which run on the
-//     bridge/poller and wheel goroutines.
+//   - ExternalOp implementations (Arm, Block, CancelExternal): Arm and
+//     Block run on a task that has given up (or is giving up) its
+//     worker — Block after the task has reported itself suspended — and
+//     CancelExternal on cancellation goroutines, so the interface
+//     contract says none of them may suspend;
+//   - timer-wheel callbacks (functions passed to timerwheel.AfterFunc
+//     or AfterFuncT), which run on the wheel goroutine.
 //
 // The may-suspend set is seeded by the runtime's heavy-edge entry
 // points (see internal/analysis/facts) and propagated over the
@@ -85,31 +85,15 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// ExternalOp implementations: Arm and CancelExternal run on
-	// completion/cancellation goroutines and must not suspend or block.
+	// ExternalOp implementations: Arm, Block and CancelExternal run
+	// while the task holds no worker (Block), or on cancellation
+	// goroutines, and must not suspend.
 	if iface := lookupInterface(pass.Pkg, facts.RuntimePath, "ExternalOp"); iface != nil {
 		for fn, fd := range decls {
 			if recv := fn.Signature().Recv(); recv != nil &&
-				(fn.Name() == "Arm" || fn.Name() == "CancelExternal") &&
+				(fn.Name() == "Arm" || fn.Name() == "Block" || fn.Name() == "CancelExternal") &&
 				types.Implements(recv.Type(), iface) {
-				add(fd, "an ExternalOp callback (runs on scheduler-side goroutines; the interface contract forbids suspending)")
-			}
-		}
-	}
-
-	// I/O submission backends (io's unexported backend interface,
-	// visible when analyzing the io package itself). Backend methods run
-	// on bridge and poller goroutines — scheduler-side code that must
-	// never suspend into the runtime it is feeding.
-	if iface := lookupInterface(pass.Pkg, pass.Pkg.Path(), "backend"); iface != nil {
-		names := make(map[string]bool)
-		for i := 0; i < iface.NumMethods(); i++ {
-			names[iface.Method(i).Name()] = true
-		}
-		for fn, fd := range decls {
-			if recv := fn.Signature().Recv(); recv != nil && names[fn.Name()] &&
-				types.Implements(recv.Type(), iface) {
-				add(fd, "an io backend method (runs on bridge/poller goroutines)")
+				add(fd, "an ExternalOp callback (runs without the task's worker; the interface contract forbids suspending)")
 			}
 		}
 	}

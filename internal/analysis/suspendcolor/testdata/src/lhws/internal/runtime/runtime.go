@@ -25,9 +25,10 @@ func (f *Future) Await(c *Ctx) (any, error) { return nil, nil }
 // ExternalHandle mirrors the completion handle.
 type ExternalHandle struct{}
 
-// ExternalOp mirrors the runtime interface whose implementations run on
-// scheduler-side goroutines.
+// ExternalOp mirrors the runtime interface whose implementations run
+// without the task's worker.
 type ExternalOp interface {
 	Arm(h ExternalHandle)
+	Block(h ExternalHandle)
 	CancelExternal(h ExternalHandle, cause error)
 }

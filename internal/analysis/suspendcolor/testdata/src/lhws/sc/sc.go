@@ -78,31 +78,19 @@ func targetScope(c *runtime.Ctx) {
 	tc.Latency(0)                 // want `call may suspend the task inside a //lhws:nosuspend region: \(\*runtime\.Ctx\)\.Latency`
 }
 
-// extOp implements runtime.ExternalOp; Arm and CancelExternal run on
-// completion/cancellation goroutines.
+// extOp implements runtime.ExternalOp; Arm and Block run on a task
+// without its worker, CancelExternal on cancellation goroutines.
 type extOp struct{}
 
 func (o extOp) Arm(h runtime.ExternalHandle) {
 	helper(nil) // want `call may suspend the task inside an ExternalOp callback`
 }
 
+func (o extOp) Block(h runtime.ExternalHandle) {
+	helper(nil) // want `call may suspend the task inside an ExternalOp callback`
+}
+
 func (o extOp) CancelExternal(h runtime.ExternalHandle, cause error) {}
-
-// backend mirrors the io package's submission-backend interface; its
-// implementations run on bridge and poller goroutines.
-type backend interface {
-	park() bool
-	close()
-}
-
-type epollish struct{}
-
-func (b *epollish) park() bool {
-	helper(nil) // want `call may suspend the task inside an io backend method`
-	return true
-}
-
-func (b *epollish) close() {}
 
 // fired is registered as a timer-wheel callback below; it runs on the
 // wheel goroutine.
@@ -120,8 +108,4 @@ func arm(w *timerwheel.Wheel) *timerwheel.Timer {
 	return w.AfterFunc(0, fired, nil)
 }
 
-var (
-	_ = extOp{}
-	_ = &epollish{}
-	_ backend
-)
+var _ = extOp{}

@@ -1,15 +1,15 @@
 // Package bufpool is the I/O data plane's buffer allocator: a
 // size-classed pool of reference-counted byte buffers, built so the hot
 // read/write paths of lhws/internal/io run without per-operation
-// allocation and hand buffers between parties — bridge, task, a
-// connection's unread stash — by moving a pointer instead of copying
-// bytes.
+// allocation and hand buffers between parties — the socket read, the
+// task, a connection's unread stash — by moving a pointer instead of
+// copying bytes.
 //
 // Ownership is reference counting, not scoping: Get returns a buffer
 // holding one reference owned by the caller; Retain adds a reference
 // for every additional holder; Release drops one and recycles the
 // buffer into its class pool when the count reaches zero. The zero-copy
-// handoffs in the I/O layer (readiness → task, canceled read → stash →
+// handoffs in the I/O layer (socket read → task, canceled read → stash →
 // successor read) are reference transfers: the sender simply stops
 // calling Release and the receiver takes over the obligation, so a
 // buffer crossing the cancel window is never duplicated and never
@@ -86,8 +86,8 @@ func classFor(n int) int {
 // caller that reads short can SetLen down without losing the room to
 // grow back.
 //
-// Get runs on worker hot paths and bridge goroutines alike, so it must
-// stay non-parking: atomics, sync.Pool fast paths, and at worst an
+// Get runs on worker hot paths and in I/O blocking steps alike, so it
+// must stay non-parking: atomics, sync.Pool fast paths, and at worst an
 // allocation.
 //
 //lhws:nonblocking

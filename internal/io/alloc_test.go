@@ -11,14 +11,13 @@ import (
 
 // TestAllocsEchoSteadyState is the io-layer allocation gate. The runtime
 // side is already proven exactly allocation-free (the external-await
-// steady-state gate in internal/runtime); this test adds the dispatcher
-// on top: pooled ioOps, the bridge queue, and deadline re-arms. The
-// budget is lenient rather than zero because the kernel-facing layers
-// legitimately allocate a little (netpoll deadline plumbing, and in
-// epoll builds a small per-park table entry) — the gate exists to catch
-// a regression to per-operation garbage (a fresh op, buffer, or closure
-// per read), which would show up as dozens of allocations per
-// roundtrip, not a handful.
+// steady-state gate in internal/runtime); this test adds the io layer
+// on top: the conn's embedded ops and the per-attempt deadline clears.
+// The budget is lenient rather than zero because the kernel-facing
+// layers legitimately allocate a little (netpoll deadline plumbing) —
+// the gate exists to catch a regression to per-operation garbage (a
+// fresh op, buffer, or closure per read), which would show up as dozens
+// of allocations per roundtrip, not a handful.
 func TestAllocsEchoSteadyState(t *testing.T) {
 	// Raw echo peer: echoes instantly from a plain goroutine, so the
 	// task-side read's data is ready almost immediately.
@@ -66,7 +65,7 @@ func TestAllocsEchoSteadyState(t *testing.T) {
 					t.Errorf("read: %v", rerr)
 				}
 			}
-			for i := 0; i < 64; i++ { // warm op pool, waiter pool, queue capacity
+			for i := 0; i < 64; i++ { // warm the waiter pool and resume buffers
 				roundtrip()
 			}
 			avg = testing.AllocsPerRun(100, roundtrip)
@@ -110,8 +109,8 @@ func TestAllocsPooledStashZero(t *testing.T) {
 // included — at (near) zero steady-state allocations. A raw peer
 // saturates the socket so every ReadBuf finds bytes already buffered
 // and completes on its first attempt: the remaining per-op work is a
-// pool checkout, a recycled ioOp, one syscall, and the runtime's
-// allocation-free resume.
+// pool checkout, the conn's embedded read op, one syscall, and the
+// runtime's allocation-free resume.
 func TestAllocsReadBufSteadyState(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates; strict alloc gates run in the non-race suite")
@@ -160,7 +159,7 @@ func TestAllocsReadBufSteadyState(t *testing.T) {
 				}
 				pb.Release()
 			}
-			for i := 0; i < 64; i++ { // warm op pool, buffer pool, bridge
+			for i := 0; i < 64; i++ { // warm the buffer and waiter pools
 				read()
 			}
 			avg = testing.AllocsPerRun(100, read)

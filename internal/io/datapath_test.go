@@ -168,7 +168,7 @@ func firstDiff(a, b []byte) int {
 // zero-copy (takePendingBuf) — including the compaction of a partially
 // drained head.
 func TestStashMoveUnit(t *testing.T) {
-	cn := &Conn{} // stash needs no socket; kickRead is skipped with no rdOp
+	cn := &Conn{} // the stash needs no socket
 	mk := func(s string) *bufpool.Buf {
 		pb := bufpool.Get(len(s))
 		copy(pb.Bytes(), s)
@@ -347,6 +347,61 @@ func TestSetOpTimeout(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutBeforeFirstAttempt closes the race between a per-op
+// deadline and the op's first attempt. Each attempt clears its socket
+// deadline before the call, so a deadline that fired — and kicked —
+// before the attempt started must be caught as the timedOut flag;
+// otherwise the clear would erase the kick and the read would block
+// without any deadline on an idle conn. The first half forces that
+// order (arm, wait for the fire, then await); the second drives the
+// public path with a timeout shorter than one wheel tick. Both modes
+// must return ErrOpTimeout promptly.
+func TestOpTimeoutBeforeFirstAttempt(t *testing.T) {
+	for _, mode := range []runtime.Mode{runtime.LatencyHiding, runtime.Blocking} {
+		t.Run(mode.String(), func(t *testing.T) {
+			addr, cleanup := neverReadyPeer(t)
+			defer cleanup()
+			start := time.Now()
+			_, err := runtime.Run(runtime.Config{Workers: 2, Mode: mode, Deadline: 20 * time.Second},
+				func(c *runtime.Ctx) {
+					cn, derr := Dial(c, "tcp", addr)
+					if derr != nil {
+						t.Errorf("dial: %v", derr)
+						return
+					}
+					defer cn.Close()
+					p := make([]byte, 4)
+					for i := 0; i < 10; i++ {
+						op := &cn.rd
+						op.buf = p
+						op.begin(opRead, c.Wheel(), time.Nanosecond)
+						for fired := false; !fired; {
+							time.Sleep(100 * time.Microsecond)
+							op.mu.Lock()
+							fired = op.timedOut
+							op.mu.Unlock()
+						}
+						if n, rerr := c.AwaitExternalOp("io-read", runtime.KindFD, op); n != 0 || !errors.Is(rerr, ErrOpTimeout) {
+							t.Fatalf("read after the deadline fired = %d, %v; want 0, ErrOpTimeout", n, rerr)
+						}
+					}
+					cn.SetOpTimeout(time.Nanosecond)
+					for i := 0; i < 50; i++ {
+						if n, rerr := cn.Read(c, p); n != 0 || !errors.Is(rerr, ErrOpTimeout) {
+							t.Fatalf("read %d = %d, %v; want 0, ErrOpTimeout", i, n, rerr)
+						}
+					}
+				})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if el := time.Since(start); el > 10*time.Second {
+				t.Fatalf("op timeouts took %v; an attempt missed its deadline", el)
+			}
+		})
+	}
+}
+
 // TestOpTimeoutStaleNeverFires is the canceled-deadline regression for
 // the timer-wheel op deadlines: deadlines armed by ops that complete in
 // time are stopped, and a stale fire that loses the Stop race must be
@@ -369,7 +424,7 @@ func TestOpTimeoutStaleNeverFires(t *testing.T) {
 			}
 			// Many fast roundtrips under a short op timeout: every op
 			// completes well before its deadline, arming and stopping many
-			// wheel entries in quick succession on a recycled op.
+			// wheel entries in quick succession on the reused op.
 			cn.SetOpTimeout(30 * time.Millisecond)
 			in := make([]byte, 4)
 			for i := 0; i < 50; i++ {

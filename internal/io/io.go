@@ -8,18 +8,20 @@
 //
 // The machinery is runtime.AwaitExternalOp underneath: an operation
 // suspends through the same epoch-claimed waiter protocol as Latency and
-// channel waits, a dispatcher bridge performs the syscall, and the
-// completion re-injects the task through its deque's bulk resumed path —
+// channel waits; once the task has released its worker, the operation's
+// blocking step makes the socket call on the task's own goroutine, where
+// Go's netpoller parks it until the socket is ready; and the completion
+// re-injects the task through its deque's bulk resumed path —
 // completions sharing a drain enter the deque as one pfor-tree node.
 // Scope cancellation (WithCancel/WithDeadline, the watchdog, a panic
 // elsewhere) interrupts pending socket calls promptly by kicking their
 // deadlines; a canceled operation unwinds the task like every other
-// canceled wait.
+// canceled wait, after its interrupted call has finished.
 //
 // The data plane is built not to copy and not to allocate: ReadBuf
 // reads into reference-counted pooled buffers (internal/bufpool) that
-// move between readiness, task, and the conn's cancel-window stash by
-// pointer; QueueWrite/Flush (and Writev) coalesce pipelined responses
+// move between the socket, the task, and the conn's cancel-window stash
+// by pointer; QueueWrite/Flush (and Writev) coalesce pipelined responses
 // into one vectored writev syscall; per-op deadlines (SetOpTimeout) are
 // O(1) entries on the run's shared timer wheel. See DESIGN.md §13.
 //
@@ -30,33 +32,28 @@
 // Concurrency contract: at most one task may be in Read and one in Write
 // on the same Conn at a time (as with net.Conn, reads and writes are
 // independent); Accept similarly admits one accepting task per Listener.
-// QueueWrite/Flush belong to the conn's single writer.
+// QueueWrite/Flush belong to the conn's single writer. A task is in an
+// operation until the call returns or its cancellation unwind has left
+// it.
 package io
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"lhws/internal/bufpool"
 	"lhws/internal/runtime"
 )
 
-// parkable is the raw-syscall view of a socket, used by epoll builds to
-// register readiness interest; nil when the underlying conn does not
-// expose one (rotation still works without it).
-type parkable = syscall.RawConn
-
 // Conn is a socket whose operations suspend the calling task instead of
 // blocking its worker. Create one with Dial, Listener.Accept, or Wrap.
 // Close is plain (non-suspending) and interrupts in-flight operations.
 type Conn struct {
-	d  *dispatcher
 	nc net.Conn
-	sc parkable
 
 	// opTimeout, when set, arms a timer-wheel deadline on each
 	// subsequent read/write op (see SetOpTimeout).
@@ -68,20 +65,15 @@ type Conn struct {
 	// suspended in Flush, never both.
 	wq net.Buffers
 
-	// opMu guards the in-flight op registrations. Close uses them to
-	// unpark operations waiting on the readiness backend: closing an fd
-	// silently removes it from an epoll set, so a parked op would
-	// otherwise never fire (rotation attempts discover the close on
-	// their own; parked ones must be routed back to a bridge).
-	opMu sync.Mutex
-	rdOp *ioOp
-	wrOp *ioOp
+	// rd and wr are the conn's one read op and one write op, reused by
+	// every operation in their direction (see ioOp).
+	rd, wr ioOp
 
 	// pendMu guards the unread stash: pooled buffers holding bytes a
-	// canceled read's in-flight attempt consumed off the socket after
+	// canceled read's interrupted attempt consumed off the socket after
 	// its completion claim was already lost to the abort. Dropping them
 	// would desynchronize the stream — the conn's next read would wait
-	// forever for bytes that can never arrive again — so the bridge
+	// forever for bytes that can never arrive again — so the read op
 	// stashes them here and the next read drains the stash before
 	// touching the socket. Pooled reads MOVE their buffer in and out
 	// (the handoff is a reference transfer, no copy); the unpooled Read
@@ -90,29 +82,6 @@ type Conn struct {
 	pendMu  sync.Mutex
 	pending []*bufpool.Buf
 	pendOff int
-}
-
-// setOp / clearOp maintain the Close-visibility registration around an
-// op's lifetime: set task-side before Arm, cleared by the completing
-// bridge.
-func (cn *Conn) setOp(dir opKind, op *ioOp) {
-	cn.opMu.Lock()
-	if dir == opRead {
-		cn.rdOp = op
-	} else {
-		cn.wrOp = op
-	}
-	cn.opMu.Unlock()
-}
-
-func (cn *Conn) clearOp(dir opKind, op *ioOp) {
-	cn.opMu.Lock()
-	if dir == opRead && cn.rdOp == op {
-		cn.rdOp = nil
-	} else if (dir == opWrite || dir == opWritev) && cn.wrOp == op {
-		cn.wrOp = nil
-	}
-	cn.opMu.Unlock()
 }
 
 // stashUnread salvages bytes whose completion lost its wake claim to a
@@ -127,19 +96,13 @@ func (cn *Conn) stashUnread(b []byte) {
 
 // stashUnreadBuf salvages a pooled read buffer whose completion lost
 // its wake claim: ownership of pb's reference MOVES into the stash (no
-// copy — this is the zero-copy half of the cancel window). Any
-// successor read already in flight on the conn is then kicked: it may
-// be blocked in a socket read waiting for bytes that now sit here.
+// copy — this is the zero-copy half of the cancel window). No successor
+// read can be waiting on the socket meanwhile: the canceled reader is
+// still in Read until this returns.
 func (cn *Conn) stashUnreadBuf(pb *bufpool.Buf) {
 	cn.pendMu.Lock()
 	cn.pending = append(cn.pending, pb)
 	cn.pendMu.Unlock()
-	cn.opMu.Lock()
-	op := cn.rdOp
-	cn.opMu.Unlock()
-	if op != nil {
-		op.kickRead(cn)
-	}
 }
 
 // takePending drains stashed unread bytes into p, stream order
@@ -222,25 +185,22 @@ func (cn *Conn) drainPending() {
 }
 
 // Wrap adopts an existing net.Conn into the task runtime. The conn must
-// support deadlines (every *net.TCPConn, *net.UnixConn, ... does):
-// rotation slices and the cancellation kick are both deadline sets, so a
-// conn whose SetDeadline fails could hold a bridge forever and hang the
-// run's shutdown. Wrap probes for that up front and rejects such conns
-// instead of relying on the caller to know.
+// support deadlines (every *net.TCPConn, *net.UnixConn, ... does): the
+// cancellation kick is a deadline set, so a conn whose SetDeadline fails
+// could block its task forever and hang the run's shutdown. Wrap probes
+// for that up front and rejects such conns instead of relying on the
+// caller to know.
 func Wrap(c *runtime.Ctx, nc net.Conn) (*Conn, error) {
 	if err := nc.SetDeadline(time.Time{}); err != nil {
 		return nil, fmt.Errorf("lhws/io: conn %T does not support deadlines: %w", nc, err)
 	}
-	return wrapConn(dispFor(c), nc), nil
+	return wrapConn(nc), nil
 }
 
-func wrapConn(d *dispatcher, nc net.Conn) *Conn {
-	cn := &Conn{d: d, nc: nc}
-	if s, ok := nc.(syscall.Conn); ok {
-		if rc, err := s.SyscallConn(); err == nil {
-			cn.sc = rc
-		}
-	}
+func wrapConn(nc net.Conn) *Conn {
+	cn := &Conn{nc: nc}
+	cn.rd.cn = cn
+	cn.wr.cn = cn
 	return cn
 }
 
@@ -259,18 +219,10 @@ func (cn *Conn) SetOpTimeout(d time.Duration) {
 	cn.opTimeout.Store(int64(d))
 }
 
-// armOpDeadline arms the conn's per-op deadline on op, if one is set.
-// Runs task-side before AwaitExternalOp, under op.mu so the wheel
-// callback's identity check (op.dl) is race-free against completion.
-func (cn *Conn) armOpDeadline(op *ioOp) {
-	d := time.Duration(cn.opTimeout.Load())
-	if d <= 0 {
-		return
-	}
-	t := cn.d.wheel.AfterFuncT(d, opDeadlineFired, op)
-	op.mu.Lock()
-	op.dl = t
-	op.mu.Unlock()
+// begin opens a new life of the conn's read or write op (see
+// ioOp.begin), arming the per-op deadline if one is set.
+func (cn *Conn) begin(c *runtime.Ctx, op *ioOp, kind opKind) {
+	op.begin(kind, c.Wheel(), time.Duration(cn.opTimeout.Load()))
 }
 
 // Read reads into p, suspending the task until at least one byte (or
@@ -281,19 +233,16 @@ func (cn *Conn) Read(c *runtime.Ctx, p []byte) (int, error) {
 	if n := cn.takePending(p); n > 0 {
 		return n, nil
 	}
-	op := cn.d.getOp()
-	op.kind = opRead
-	op.cn = cn
+	op := &cn.rd
 	op.buf = p
-	cn.setOp(opRead, op)
-	cn.armOpDeadline(op)
+	cn.begin(c, op, opRead)
 	return c.AwaitExternalOp("io-read", runtime.KindFD, op)
 }
 
 // ReadBuf is Read without the copy or the allocation: it reads up to
 // max bytes into a buffer from the size-classed pool and hands the
-// buffer itself to the task — the same backing array the bridge's
-// syscall filled, sized to its class, with Len set to the bytes read.
+// buffer itself to the task — the same backing array the socket read
+// filled, sized to its class, with Len set to the bytes read.
 // The caller owns the returned buffer's reference and must Release it
 // (or pass ownership on, e.g. by queueing its bytes for write and
 // releasing after Flush). On error the buffer is never returned. Bytes
@@ -307,17 +256,14 @@ func (cn *Conn) ReadBuf(c *runtime.Ctx, max int) (*bufpool.Buf, error) {
 		return pb, nil
 	}
 	pb := bufpool.Get(max)
-	op := cn.d.getOp()
-	op.kind = opRead
-	op.cn = cn
+	op := &cn.rd
 	op.pb = pb
 	op.buf = pb.Bytes()
-	cn.setOp(opRead, op)
-	cn.armOpDeadline(op)
+	cn.begin(c, op, opRead)
 	n, err := c.AwaitExternalOp("io-read", runtime.KindFD, op)
 	// A normal return means the completion claim was won, which
 	// transferred the buffer's reference to this task (see settleBuf); a
-	// cancellation unwind never reaches here and the op side settles the
+	// cancellation unwind never reaches here and the op settles the
 	// buffer itself.
 	if n <= 0 {
 		pb.Release()
@@ -329,22 +275,20 @@ func (cn *Conn) ReadBuf(c *runtime.Ctx, max int) (*bufpool.Buf, error) {
 
 // Write writes all of p, suspending the task across partial writes.
 func (cn *Conn) Write(c *runtime.Ctx, p []byte) (int, error) {
-	op := cn.d.getOp()
-	op.kind = opWrite
-	op.cn = cn
+	op := &cn.wr
 	op.buf = p
-	cn.setOp(opWrite, op)
-	cn.armOpDeadline(op)
+	op.off = 0
+	cn.begin(c, op, opWrite)
 	return c.AwaitExternalOp("io-write", runtime.KindFD, op)
 }
 
 // Writev writes every buffer in bufs as one vectored operation: the
-// bridge issues writev (net.Buffers.WriteTo), so N pipelined response
+// op issues writev (net.Buffers.WriteTo), so N pipelined response
 // fragments cost one syscall instead of N. bufs is consumed — its
 // elements are nil'ed and resliced as prefixes complete, exactly like
 // net.Buffers — so the caller must not reuse it without rebuilding.
-// Returns the total bytes written; partial progress across deadline
-// slices is retried until the vector drains, as with Write.
+// Returns the total bytes written; a partial write is retried until the
+// vector drains, as with Write.
 func (cn *Conn) Writev(c *runtime.Ctx, bufs net.Buffers) (int, error) {
 	total := 0
 	for _, b := range bufs {
@@ -353,12 +297,10 @@ func (cn *Conn) Writev(c *runtime.Ctx, bufs net.Buffers) (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	op := cn.d.getOp()
-	op.kind = opWritev
-	op.cn = cn
+	op := &cn.wr
 	op.vec = bufs
-	cn.setOp(opWritev, op)
-	cn.armOpDeadline(op)
+	op.voff = 0
+	cn.begin(c, op, opWritev)
 	return c.AwaitExternalOp("io-writev", runtime.KindFD, op)
 }
 
@@ -405,27 +347,12 @@ func (cn *Conn) Flush(c *runtime.Ctx) (int, error) {
 func (cn *Conn) NetConn() net.Conn { return cn.nc }
 
 // Close closes the socket. Non-suspending; pending operations complete
-// with the socket's close error. Operations parked on the readiness
-// backend are routed back to a bridge (the closed fd would never fire),
-// and stashed unread buffers go back to the pool.
+// with the socket's close error, and stashed unread buffers go back to
+// the pool.
 func (cn *Conn) Close() error {
 	err := cn.nc.Close()
-	cn.opMu.Lock()
-	rd, wr := cn.rdOp, cn.wrOp
-	cn.opMu.Unlock()
-	unparkForClose(cn.d, rd)
-	unparkForClose(cn.d, wr)
 	cn.drainPending()
 	return err
-}
-
-// unparkForClose reroutes an op parked in the backend back to the
-// bridge queue so it can observe the close. The CAS races the backend
-// and cancellation; exactly one party re-enqueues.
-func unparkForClose(d *dispatcher, op *ioOp) {
-	if op != nil && op.parked.CompareAndSwap(true, false) {
-		d.enqueue(op)
-	}
 }
 
 // Gate is an admission valve a Listener consults before pulling a
@@ -441,12 +368,9 @@ type Gate interface {
 
 // Listener accepts connections without blocking workers.
 type Listener struct {
-	d  *dispatcher
 	nl net.Listener
-	sc parkable
 
-	opMu sync.Mutex
-	acOp *ioOp
+	mu   sync.Mutex
 	gate Gate
 }
 
@@ -457,22 +381,16 @@ func Listen(c *runtime.Ctx, network, addr string) (*Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Listener{d: dispFor(c), nl: nl}
-	if s, ok := nl.(syscall.Conn); ok {
-		if rc, serr := s.SyscallConn(); serr == nil {
-			l.sc = rc
-		}
-	}
-	return l, nil
+	return &Listener{nl: nl}, nil
 }
 
 // SetGate installs an admission gate consulted by every subsequent
 // Accept. Install it before the accept loop starts; a nil gate (the
 // default) admits unconditionally.
 func (l *Listener) SetGate(g Gate) {
-	l.opMu.Lock()
+	l.mu.Lock()
 	l.gate = g
-	l.opMu.Unlock()
+	l.mu.Unlock()
 }
 
 // Accept suspends the task until a connection arrives and returns it
@@ -483,18 +401,15 @@ func (l *Listener) SetGate(g Gate) {
 // the gate's typed error (e.g. admit.ErrDraining) when intake is
 // closed.
 func (l *Listener) Accept(c *runtime.Ctx) (*Conn, error) {
-	l.opMu.Lock()
+	l.mu.Lock()
 	g := l.gate
-	l.opMu.Unlock()
+	l.mu.Unlock()
 	if g != nil {
 		if err := g.AcquireAccept(c); err != nil {
 			return nil, err
 		}
 	}
 	op := &ioOp{kind: opAccept, ln: l}
-	l.opMu.Lock()
-	l.acOp = op
-	l.opMu.Unlock()
 	if _, err := c.AwaitExternalOp("io-accept", runtime.KindFD, op); err != nil {
 		return nil, err
 	}
@@ -504,15 +419,7 @@ func (l *Listener) Accept(c *runtime.Ctx) (*Conn, error) {
 		// scope is canceled, so the very next scheduling point unwinds.
 		return nil, errOpCanceled
 	}
-	return wrapConn(l.d, nc), nil
-}
-
-func (l *Listener) clearAccept(op *ioOp) {
-	l.opMu.Lock()
-	if l.acOp == op {
-		l.acOp = nil
-	}
-	l.opMu.Unlock()
+	return wrapConn(nc), nil
 }
 
 // Addr returns the listener's address (useful with port 0).
@@ -520,20 +427,13 @@ func (l *Listener) Addr() net.Addr { return l.nl.Addr() }
 
 // Close stops the listener; a pending Accept completes with the close
 // error. Non-suspending.
-func (l *Listener) Close() error {
-	err := l.nl.Close()
-	l.opMu.Lock()
-	op := l.acOp
-	l.opMu.Unlock()
-	unparkForClose(l.d, op)
-	return err
-}
+func (l *Listener) Close() error { return l.nl.Close() }
 
 // Dial connects to addr, suspending the task for the duration of the
 // connection handshake.
 func Dial(c *runtime.Ctx, network, addr string) (*Conn, error) {
-	d := dispFor(c)
-	op := &ioOp{kind: opDial, cn: &Conn{d: d}, dialNet: network, dialAddr: addr}
+	op := &ioOp{kind: opDial, dialNet: network, dialAddr: addr}
+	op.ctx, op.ctxCancel = context.WithCancel(context.Background())
 	if _, err := c.AwaitExternalOp("io-dial", runtime.KindFD, op); err != nil {
 		return nil, err
 	}
@@ -541,21 +441,13 @@ func Dial(c *runtime.Ctx, network, addr string) (*Conn, error) {
 	if nc == nil {
 		return nil, errOpCanceled
 	}
-	return wrapConn(d, nc), nil
+	return wrapConn(nc), nil
 }
 
-// PeakBridges reports the high-water count of bridge goroutines this
-// run's dispatcher spawned — the benchmark's O(P)-not-O(C) gate reads
-// it. Zero if the run performed no I/O.
-func PeakBridges(c *runtime.Ctx) int {
-	return dispFor(c).peakBridges()
-}
-
-// BackendName reports which readiness backend this run's dispatcher
-// selected: "rotate" (portable) or "epoll" (-tags lhwsepoll on Linux).
-func BackendName(c *runtime.Ctx) string {
-	return dispFor(c).backendName()
-}
+// BackendName reports how this package waits for sockets: always
+// "netpoll" — each operation's call runs on its task's goroutine and
+// Go's netpoller parks it. Benchmarks record it with their results.
+func BackendName(c *runtime.Ctx) string { return "netpoll" }
 
 // ErrOpCanceled is exported for tests that need to distinguish the
 // canceled-result sentinel; user code normally never sees it (the task

@@ -3,16 +3,19 @@ package io
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	goruntime "runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lhws/internal/runtime"
 )
 
-// TestMain raises GOMAXPROCS as the runtime package's tests do: bridges,
-// peers, and workers must genuinely interleave on single-core hosts.
+// TestMain raises GOMAXPROCS as the runtime package's tests do: tasks
+// blocked in socket calls, peers, and workers must genuinely interleave
+// on single-core hosts.
 func TestMain(m *testing.M) {
 	if goruntime.GOMAXPROCS(0) < 4 {
 		goruntime.GOMAXPROCS(4)
@@ -155,59 +158,92 @@ func TestEchoBlockingMode(t *testing.T) {
 	}
 }
 
-// TestBridgePoolBounded pins the O(P)-not-O(C) property: 32 connections
-// with pending reads must share the dispatcher's capped bridge pool, not
-// take a goroutine each.
-func TestBridgePoolBounded(t *testing.T) {
-	const conns = 32
-	var peak, cap_ int
-	_, err := runtime.Run(runtime.Config{Workers: 2, Mode: runtime.LatencyHiding, Deadline: 60 * time.Second},
-		func(c *runtime.Ctx) {
-			l, err := Listen(c, "tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Errorf("listen: %v", err)
+// TestPendingReadsAddNoGoroutines pins the goroutine cost of waiting:
+// 256 conns with pending reads park in Go's netpoller on their tasks'
+// own goroutines, so the run holds no goroutine beyond its tasks, its
+// workers, and the timer wheel — no helper per read and no helper pool.
+// Every read then completes once the peer writes.
+func TestPendingReadsAddNoGoroutines(t *testing.T) {
+	const conns = 256
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("peer listen: %v", err)
+	}
+	defer nl.Close()
+	// Raw peer: one goroutine accepts every conn, then answers each with
+	// one byte when released. It holds the conns without reading them.
+	release := make(chan struct{})
+	peerDone := make(chan struct{})
+	go func() {
+		defer close(peerDone)
+		var held []net.Conn
+		defer func() {
+			for _, pc := range held {
+				pc.Close()
+			}
+		}()
+		for len(held) < conns {
+			pc, aerr := nl.Accept()
+			if aerr != nil {
 				return
 			}
-			srv := c.Spawn(func(cc *runtime.Ctx) { echoServe(cc, l, 1) })
+			held = append(held, pc)
+		}
+		<-release
+		for _, pc := range held {
+			pc.Write([]byte{7})
+		}
+	}()
+
+	const workers = 2
+	base := goruntime.NumGoroutine()
+	var pending atomic.Int32
+	var delta int
+	_, err = runtime.Run(runtime.Config{Workers: workers, Mode: runtime.LatencyHiding, Deadline: 60 * time.Second},
+		func(c *runtime.Ctx) {
 			futs := make([]*runtime.Future, conns)
 			for i := range futs {
 				futs[i] = c.Spawn(func(cc *runtime.Ctx) {
-					cn, err := Dial(cc, "tcp", l.Addr().String())
-					if err != nil {
-						t.Errorf("dial: %v", err)
+					cn, derr := Dial(cc, "tcp", nl.Addr().String())
+					if derr != nil {
+						t.Errorf("dial: %v", derr)
+						pending.Add(1)
 						return
 					}
 					defer cn.Close()
-					// Stagger so all reads are pending simultaneously before
-					// any byte is echoed back.
-					cc.Latency(5 * time.Millisecond)
-					if _, err := cn.Write(cc, []byte{1}); err != nil {
-						t.Errorf("write: %v", err)
-						return
-					}
 					one := make([]byte, 1)
-					if err := readFull(cc, cn, one); err != nil {
-						t.Errorf("read: %v", err)
+					pending.Add(1)
+					if n, rerr := cn.Read(cc, one); n != 1 || rerr != nil || one[0] != 7 {
+						t.Errorf("read = %d %v %v, want the peer's byte", n, rerr, one)
 					}
 				})
 			}
+			for pending.Load() < conns {
+				c.Latency(time.Millisecond)
+			}
+			// Expected: the root and its children, the workers, and the
+			// wheel goroutine. Settle briefly: a finished dial's context
+			// watcher exits asynchronously.
+			limit := conns + 1 + workers + 1
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+				if delta = goruntime.NumGoroutine() - base; delta <= limit {
+					break
+				}
+				c.Latency(5 * time.Millisecond)
+			}
+			if delta > limit {
+				t.Errorf("%d pending reads hold %d goroutines, want at most %d (tasks, workers, wheel)",
+					conns, delta, limit)
+			}
+			close(release)
 			for _, f := range futs {
 				f.Await(c)
 			}
-			l.Close()
-			srv.Await(c)
-			d := dispFor(c)
-			peak, cap_ = d.peakBridges(), d.cap
 		})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if peak > cap_ {
-		t.Fatalf("bridge peak %d exceeds cap %d", peak, cap_)
-	}
-	if cap_ >= conns {
-		t.Fatalf("bridge cap %d not O(P) for %d conns (test misconfigured)", cap_, conns)
-	}
+	<-peerDone
 }
 
 // TestDialError: a dial to a dead port must surface the OS error, not
@@ -232,8 +268,9 @@ func TestDialError(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeak: the dispatcher's close is synchronous, so every
-// bridge (and the epoll poller, when enabled) is gone when Run returns.
+// TestNoGoroutineLeak: socket operations run on their tasks' goroutines,
+// which the run releases as it drains, so nothing I/O-related outlives
+// Run.
 func TestNoGoroutineLeak(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	for i := 0; i < 3; i++ {

@@ -2,7 +2,10 @@ package io
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -10,8 +13,8 @@ import (
 )
 
 // noDeadlineConn simulates a net.Conn implementation without working
-// deadlines (SetDeadline errors). The dispatcher cannot kick such a
-// conn, so Wrap must reject it up front.
+// deadlines (SetDeadline errors). Cancellation cannot kick such a conn,
+// so Wrap must reject it up front.
 type noDeadlineConn struct{ net.Conn }
 
 func (noDeadlineConn) SetDeadline(time.Time) error {
@@ -19,8 +22,8 @@ func (noDeadlineConn) SetDeadline(time.Time) error {
 }
 
 // TestWrapRejectsDeadlinelessConn: a conn whose SetDeadline fails would
-// strand a bridge forever (no kick, no rotation slice) and hang the
-// run's shutdown; Wrap probes and fails fast instead.
+// leave a canceled task blocked in its socket call forever (no kick) and
+// hang the run's shutdown; Wrap probes and fails fast instead.
 func TestWrapRejectsDeadlinelessConn(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -76,65 +79,118 @@ func TestWrapAdoptsRealConn(t *testing.T) {
 	}
 }
 
-// TestDialsBypassBridgePool: dials hold their goroutine for the whole
-// connect, so they run on dedicated goroutines outside the bridge cap.
-// Regression: dials once occupied pooled bridges, and cap concurrent
-// slow dials starved every queued read/write/accept until OS connect
-// timeouts expired. A dial-only workload must not grow the bridge pool
-// at all.
-func TestDialsBypassBridgePool(t *testing.T) {
-	nl, err := net.Listen("tcp", "127.0.0.1:0")
+// saturatedListener opens a loopback listening socket with a zero
+// backlog and fills its accept queue without ever accepting, so every
+// further connect has its SYN dropped by the kernel and stays pending
+// (retrying for seconds) until canceled. The returned cleanup closes the
+// socket and the filler conns.
+func saturatedListener(t *testing.T) (addr string, cleanup func()) {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
 	if err != nil {
-		t.Fatalf("peer listen: %v", err)
+		t.Fatalf("socket: %v", err)
 	}
-	defer nl.Close()
-	var held []net.Conn
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			c, aerr := nl.Accept()
-			if aerr != nil {
-				return
-			}
-			held = append(held, c)
-		}
-	}()
-	defer func() {
-		nl.Close()
-		<-done
-		for _, c := range held {
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		syscall.Close(fd)
+		t.Fatalf("bind: %v", err)
+	}
+	if err := syscall.Listen(fd, 0); err != nil {
+		syscall.Close(fd)
+		t.Fatalf("listen: %v", err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		syscall.Close(fd)
+		t.Fatalf("getsockname: %v", err)
+	}
+	addr = fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+	var fillers []net.Conn
+	cleanup = func() {
+		for _, c := range fillers {
 			c.Close()
 		}
-	}()
+		syscall.Close(fd)
+	}
+	for i := 0; ; i++ {
+		c, derr := net.DialTimeout("tcp", addr, 200*time.Millisecond) //lhws:allowblock test harness fills the backlog outside any task
+		if derr != nil {
+			return addr, cleanup // the queue is full: this connect stayed pending
+		}
+		fillers = append(fillers, c)
+		if i == 16 {
+			cleanup()
+			t.Skip("kernel accepts connects past a zero backlog; cannot hold dials pending")
+		}
+	}
+}
 
-	_, err = runtime.Run(runtime.Config{Workers: 4, Mode: runtime.LatencyHiding, Deadline: 30 * time.Second},
+// TestReadsProgressDuringPendingDials: a dial holds its task's goroutine
+// for the whole connect, and nothing else. Regression: dials once
+// occupied a shared pool of helper goroutines, and concurrent slow
+// dials starved every queued read, write, and accept until OS connect
+// timeouts expired. Here 24 dials stay pending against a saturated
+// listener while echo roundtrips on an open conn keep completing; the
+// canceled dials then unwind promptly.
+func TestReadsProgressDuringPendingDials(t *testing.T) {
+	slow, cleanup := saturatedListener(t)
+	defer cleanup()
+	const dials = 24
+	_, err := runtime.Run(runtime.Config{Workers: 4, Mode: runtime.LatencyHiding, Deadline: 30 * time.Second},
 		func(c *runtime.Ctx) {
-			const dials = 24 // well past the bridge cap of max(2P, 8)
-			conns := make([]*Conn, dials)
+			l, lerr := Listen(c, "tcp", "127.0.0.1:0")
+			if lerr != nil {
+				t.Errorf("listen: %v", lerr)
+				return
+			}
+			srv := c.Spawn(func(cc *runtime.Ctx) { echoServe(cc, l, 4) })
+			cn, derr := Dial(c, "tcp", l.Addr().String())
+			if derr != nil {
+				t.Errorf("dial: %v", derr)
+				return
+			}
+
+			var started, finished atomic.Int32
+			dc, cancel := c.WithCancel()
 			futs := make([]*runtime.Future, dials)
-			for i := 0; i < dials; i++ {
-				i := i
-				futs[i] = c.Spawn(func(child *runtime.Ctx) {
-					cn, derr := Dial(child, "tcp", nl.Addr().String())
-					if derr != nil {
-						t.Errorf("dial %d: %v", i, derr)
-						return
+			for i := range futs {
+				futs[i] = dc.Spawn(func(child *runtime.Ctx) {
+					started.Add(1)
+					if pc, perr := Dial(child, "tcp", slow); perr == nil {
+						pc.Close()
 					}
-					conns[i] = cn
+					finished.Add(1)
 				})
 			}
-			for _, f := range futs {
-				f.Await(c)
+			for started.Load() < dials {
+				c.Latency(time.Millisecond)
 			}
-			if got := PeakBridges(c); got != 0 {
-				t.Errorf("PeakBridges = %d after a dial-only workload, want 0 (dials must not consume bridges)", got)
-			}
-			for _, cn := range conns {
-				if cn != nil {
-					cn.Close()
+			in := make([]byte, 4)
+			for i := 0; i < 20; i++ {
+				if _, werr := cn.Write(c, []byte("ping")); werr != nil {
+					t.Errorf("write %d: %v", i, werr)
+					break
+				}
+				if rerr := readFull(c, cn, in); rerr != nil || string(in) != "ping" {
+					t.Errorf("read %d = %q, %v", i, in, rerr)
+					break
 				}
 			}
+			if n := finished.Load(); n != 0 {
+				t.Errorf("%d of %d dials finished before cancellation; want them pending throughout", n, dials)
+			}
+			start := time.Now()
+			cancel()
+			for _, f := range futs {
+				if werr := f.AwaitErr(c); !errors.Is(werr, runtime.ErrCanceled) {
+					t.Errorf("pending dial ended with %v, want ErrCanceled", werr)
+				}
+			}
+			if el := time.Since(start); el > 5*time.Second {
+				t.Errorf("canceled dials took %v to unwind", el)
+			}
+			cn.Close()
+			l.Close()
+			srv.Await(c)
 		})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -13,9 +13,17 @@ import (
 // the world; Latency simulates such an edge with a timer, and
 // AwaitExternalOp realizes it for real events: the task suspends through
 // the same epoch-claimed waiter token as Latency/Await/Chan, the
-// completer calls ExternalHandle.Complete from any goroutine, and the
-// wakeup re-injects the task through the owner's drainResumed batch (one
-// pfor-tree deque item per drain, Figure 3 lines 7-14).
+// completer calls ExternalHandle.Complete, and the wakeup re-injects the
+// task through the owner's drainResumed batch (one pfor-tree deque item
+// per drain, Figure 3 lines 7-14).
+//
+// How the world's answer is waited for is not part of the algorithm. A
+// suspended task already owns a parked goroutine — the shell that will
+// receive its next worker grant — so an operation that is a blocking
+// call (a socket read, a channel receive) runs that call there, in
+// ExternalOp.Block, after the task has released its worker: Go's
+// netpoller parks the goroutine, and no helper goroutine or readiness
+// engine sits between the syscall and the scheduler.
 
 // WaitKind classifies what a suspension is waiting for. The watchdog
 // reports it in StallWait so an I/O hang is distinguishable from a lost
@@ -56,10 +64,11 @@ func (k WaitKind) String() string {
 
 // ExternalHandle is the one-shot completion token for one external
 // await. It is a small value (safe to copy, comparable) handed to
-// ExternalOp.Arm; whoever observes the event calls Complete, from any
-// goroutine. Exactly one Complete must eventually be made per Arm —
-// even after CancelExternal, whose wake the late Complete then loses to
-// the epoch claim and falls away harmlessly.
+// ExternalOp.Arm and ExternalOp.Block; whoever observes the event —
+// Block itself, or any other goroutine — calls Complete. Exactly one
+// Complete (or Discard) must eventually be made per Arm — even after
+// CancelExternal, whose wake the late Complete then loses to the epoch
+// claim and falls away harmlessly.
 type ExternalHandle struct {
 	wt *waiter
 	bk *extBlock
@@ -111,23 +120,38 @@ func (h ExternalHandle) Discard(err error) {
 
 // ExternalOp is an external operation a task can await. Arm runs
 // task-side, before the task yields: it must publish the operation to
-// its completer (poller, goroutine, callback registry) and arrange for
-// exactly one eventual h.Complete. CancelExternal is called by the
-// runtime when the awaiting task's scope is canceled: it should
-// interrupt or deregister the operation so the completer's Complete
-// comes promptly; it must not block, and it must tolerate the operation
-// having already completed (the handle lets the completer correlate).
-// The runtime wakes the task itself after CancelExternal returns.
+// its completer (or record the handle for Block) and arrange for exactly
+// one eventual h.Complete or h.Discard.
+//
+// Block is the operation's blocking step. The runtime calls it exactly
+// once per Arm, on the task's own goroutine: in latency-hiding mode
+// after the task has reported itself suspended (its worker is already
+// running other work) and before it waits for its next grant; in
+// Blocking mode inline, with the worker held. An operation whose result
+// arrives as a blocking call (a socket read) makes that call here and
+// completes the handle itself; an operation completed from elsewhere
+// returns at once. Block must not suspend — the task holds no worker —
+// and it must return promptly once CancelExternal has run: the aborted
+// task is resumed only after Block returns, so a canceled attempt
+// always finishes before its task continues.
+//
+// CancelExternal is called by the runtime when the awaiting task's scope
+// is canceled: it should interrupt the operation so Block (or the
+// completer) returns promptly; it must not block, and it must tolerate
+// the operation having already completed (the handle lets the op
+// correlate). The runtime wakes the task itself after CancelExternal
+// returns.
 type ExternalOp interface {
 	Arm(h ExternalHandle)
+	Block(h ExternalHandle)
 	CancelExternal(h ExternalHandle, cause error)
 }
 
 // AwaitExternalOp suspends the task until op completes and returns the
 // completion's payload. site and kind label the suspension for watchdog
 // diagnostics. The non-generic int payload keeps the I/O hot path
-// allocation-free: op is typically a pooled pointer, and converting a
-// pointer to an interface does not allocate.
+// allocation-free: op is typically a pointer the caller reuses, and
+// converting a pointer to an interface does not allocate.
 //
 // In Blocking mode the worker blocks until the completion arrives — the
 // block-the-worker baseline the paper's evaluation compares against.
@@ -152,9 +176,19 @@ func (c *Ctx) AwaitExternalOp(site string, kind WaitKind, op ExternalOp) (int, e
 	wt := t.beginWait(site, kind, home, nil)
 	wt.refs.Add(1) // the completer's event reference, consumed by Complete
 	wt.ext = op
-	op.Arm(ExternalHandle{wt: wt})
+	h := ExternalHandle{wt: wt}
+	op.Arm(h)
 	c.armScope(wt)
-	c.finishWait(wt)
+	// Release the worker, run the blocking step on this goroutine, then
+	// wait for a grant. A wake claimed while Block still runs (its own
+	// Complete, or an abort) leaves the grant in the buffered resume
+	// channel, and the granting worker waits for this task's next
+	// report — which is why Block must return promptly once its handle
+	// is claimed.
+	t.report <- reportSuspended
+	op.Block(h)
+	t.w = <-t.resume
+	c.endWait(wt)
 	// The payload was copied onto the task by the claiming wake, so it
 	// is readable after the waiter may already have been recycled.
 	n, err := t.extN, t.extErr
@@ -199,11 +233,13 @@ func (c *Ctx) awaitExternalBlocking(op ExternalOp) (int, error) {
 	if err := c.scope.addWait(key, abortFunc(func(err error) {
 		op.CancelExternal(h, err)
 	})); err != nil {
-		// Born canceled: interrupt the operation we just armed (its late
-		// Complete hits the rendezvous harmlessly) and unwind.
+		// Born canceled: interrupt the operation we just armed, let its
+		// blocking step observe that and settle, and unwind.
 		op.CancelExternal(h, err)
+		op.Block(h)
 		panic(cancelPanic{err: err})
 	}
+	op.Block(h)
 	<-bk.done
 	if !c.scope.removeWait(key) {
 		// A cancel claimed the registration: unwind like every other
@@ -224,12 +260,8 @@ func (c *Ctx) awaitExternalBlocking(op ExternalOp) (int, error) {
 // await. Latency-critical completers implement ExternalOp against
 // AwaitExternalOp instead.
 func AwaitExternal[T any](c *Ctx, site string, arm func(complete func(T, error)) (cancel func(error))) (T, error) {
-	return awaitExternalGeneric(c, site, KindExternal, arm)
-}
-
-func awaitExternalGeneric[T any](c *Ctx, site string, kind WaitKind, arm func(complete func(T, error)) (cancel func(error))) (T, error) {
 	b := &extBox[T]{arm: arm}
-	_, _ = c.AwaitExternalOp(site, kind, b)
+	_, _ = c.AwaitExternalOp(site, KindExternal, b)
 	return b.v, b.err
 }
 
@@ -267,6 +299,9 @@ func (b *extBox[T]) Arm(h ExternalHandle) {
 	})
 }
 
+// Block is a no-op: the callback completes the box from elsewhere.
+func (b *extBox[T]) Block(ExternalHandle) {}
+
 func (b *extBox[T]) CancelExternal(h ExternalHandle, cause error) {
 	b.mu.Lock()
 	b.canceled = true
@@ -278,30 +313,60 @@ func (b *extBox[T]) CancelExternal(h ExternalHandle, cause error) {
 
 // AwaitChan suspends the task until a value arrives on a plain Go
 // channel, turning the receive into a heavy edge instead of blocking the
-// worker. A bridge goroutine performs the receive; scope cancellation
-// releases it, so an abandoned channel does not leak the bridge. The
-// returned error is ErrChanClosed if ch was closed; cancellation unwinds
-// the task rather than returning an error.
+// worker. The receive runs in the await's blocking step, on the task's
+// own goroutine, so an await costs no helper goroutine. The returned
+// error is ErrChanClosed if ch was closed; cancellation unwinds the task
+// rather than returning an error.
 func AwaitChan[T any](c *Ctx, ch <-chan T) (T, error) {
-	return awaitExternalGeneric(c, "await-chan", KindChan,
-		func(complete func(T, error)) func(error) {
-			stop := make(chan struct{})
-			go func() {
-				var zero T
-				select {
-				case v, ok := <-ch:
-					if !ok {
-						complete(zero, ErrChanClosed)
-						return
-					}
-					complete(v, nil)
-				case <-stop:
-					// The runtime aborts the wait itself; this completion
-					// only releases the event reference (stale wake).
-					complete(zero, ErrCanceled)
-				}
-			}()
-			var once sync.Once
-			return func(error) { once.Do(func() { close(stop) }) }
-		})
+	op := &chanOp[T]{ch: ch}
+	_, _ = c.AwaitExternalOp("await-chan", KindChan, op)
+	return op.v, op.err
+}
+
+// chanOp is AwaitChan's ExternalOp. Its blocking step selects on the
+// channel and on the abort signal of the current mode: in latency-hiding
+// mode an abort is the only thing that can grant the task a worker
+// before Block completes it, so a grant arriving on the task's resume
+// channel means the wait was canceled; in Blocking mode CancelExternal
+// completes the rendezvous, closing done. The payload fields are written
+// and read on the task's own goroutine, so they need no lock.
+type chanOp[T any] struct {
+	ch  <-chan T
+	v   T
+	err error
+}
+
+func (o *chanOp[T]) Arm(ExternalHandle) {}
+
+func (o *chanOp[T]) Block(h ExternalHandle) {
+	var grant chan *worker
+	var aborted chan struct{}
+	if h.bk != nil {
+		aborted = h.bk.done
+	} else {
+		grant = h.wt.t.resume
+	}
+	select {
+	case v, ok := <-o.ch:
+		if ok {
+			o.v = v
+		} else {
+			o.err = ErrChanClosed
+		}
+		h.Complete(0, o.err)
+	case <-aborted:
+	case w := <-grant:
+		// The abort claimed the wait and a worker granted the task; drop
+		// the completer's reference and hand the grant back to
+		// AwaitExternalOp (the buffered channel is empty: it was just
+		// drained, and nothing else sends until the task reports again).
+		h.Discard(nil)
+		grant <- w
+	}
+}
+
+func (o *chanOp[T]) CancelExternal(h ExternalHandle, cause error) {
+	if h.bk != nil {
+		h.Discard(cause)
+	}
 }

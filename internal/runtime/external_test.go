@@ -9,8 +9,8 @@ import (
 )
 
 // testExtOp is a minimal ExternalOp for tests: Arm hands the completion
-// token to a completer goroutine over a channel; CancelExternal records
-// the interrupt. The struct is reused across awaits (handles are
+// token to a completer goroutine over a channel, Block returns at once,
+// and CancelExternal records the interrupt. The struct is reused across awaits (handles are
 // one-shot, the op is not), which is exactly the pooled shape the I/O
 // layer uses.
 type testExtOp struct {
@@ -23,6 +23,8 @@ func newTestExtOp(buf int) *testExtOp {
 }
 
 func (op *testExtOp) Arm(h ExternalHandle) { op.armed <- h }
+
+func (op *testExtOp) Block(ExternalHandle) {}
 
 func (op *testExtOp) CancelExternal(h ExternalHandle, cause error) {
 	op.canceled.Add(1)
@@ -326,8 +328,8 @@ func TestAwaitExternalGeneric(t *testing.T) {
 	}
 }
 
-// TestAwaitChan covers the Go-channel bridge: value delivery, closed
-// channel, and cancellation releasing the bridge goroutine.
+// TestAwaitChan covers the Go-channel await: value delivery and a closed
+// channel.
 func TestAwaitChan(t *testing.T) {
 	for _, m := range modes() {
 		_, err := Run(Config{Workers: 2, Mode: m}, func(c *Ctx) {

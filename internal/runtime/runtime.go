@@ -294,14 +294,12 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	// The run has drained: release every parked pooled task goroutine,
-	// quiesce the timer wheel (after Shutdown returns no timer callback —
-	// including the root deadline — can fire), and close run-scoped
-	// auxiliaries (the I/O dispatcher's bridge pool, if one was created).
+	// The run has drained: release every parked pooled task goroutine
+	// and quiesce the timer wheel (after Shutdown returns no timer
+	// callback — including the root deadline — can fire).
 	close(rt.poolStop)
 	close(watchStop)
 	rt.wheel.Shutdown()
-	rt.closeAux()
 
 	rt.errMu.Lock()
 	err := rt.firstErr
@@ -387,39 +385,9 @@ type runtimeState struct {
 	// thousand sleeping tasks cost one timer goroutine.
 	wheel *timerwheel.Wheel
 
-	// aux holds run-scoped singletons created by subsystems layered on
-	// the runtime (the I/O dispatcher); closers run after the pool
-	// drains, in reverse creation order.
-	auxMu      sync.Mutex
-	aux        map[any]any
-	auxClosers []func()
-
 	errMu      sync.Mutex
 	firstErr   error
 	suppressed []string
-}
-
-// Aux returns the run-scoped singleton stored under key, creating it
-// with ctor on first use. The optional closer returned by ctor runs when
-// the run drains (after every task has finished, before Run returns).
-// This is how package-level subsystems (lhws/internal/io) attach one
-// instance per Run without the runtime importing them.
-func (c *Ctx) Aux(key any, ctor func() (value any, closer func())) any {
-	rt := c.t.rt
-	rt.auxMu.Lock()
-	defer rt.auxMu.Unlock()
-	if v, ok := rt.aux[key]; ok {
-		return v
-	}
-	v, closer := ctor()
-	if rt.aux == nil {
-		rt.aux = make(map[any]any)
-	}
-	rt.aux[key] = v
-	if closer != nil {
-		rt.auxClosers = append(rt.auxClosers, closer)
-	}
-	return v
 }
 
 // Mode reports the scheduling mode of the runtime executing the task, so
@@ -427,31 +395,15 @@ func (c *Ctx) Aux(key any, ctor func() (value any, closer func())) any {
 // implementation of an operation.
 func (c *Ctx) Mode() Mode { return c.t.rt.cfg.Mode }
 
-// NumWorkers reports the runtime's worker count P; layered subsystems
-// size their helper pools from it (O(P), never O(connections)).
-func (c *Ctx) NumWorkers() int { return c.t.rt.cfg.Workers }
-
 // Wheel returns the run's shared hashed timer wheel — the same one that
-// drives Latency expirations and scope deadlines. Run-scoped subsystems
-// (the I/O dispatcher's per-op deadlines) arm their timers here instead
-// of keeping a second wheel goroutine per run: a million pending I/O
+// drives Latency expirations and scope deadlines. Layered subsystems
+// (the I/O layer's per-op deadlines) arm their timers here instead of
+// keeping a second wheel goroutine per run: a million pending I/O
 // deadlines are a million O(1) list inserts on one wheel, and timers
 // expiring in the same tick complete together, so their wakeups batch
 // into drainResumed's single pfor-tree injection like every other
-// same-drain completion. The wheel is shut down after the pool drains
-// and before run-scoped auxiliaries close (see Run), so an aux closer
-// never races a firing callback.
+// same-drain completion. The wheel is shut down after the pool drains.
 func (c *Ctx) Wheel() *timerwheel.Wheel { return c.t.rt.wheel }
-
-func (rt *runtimeState) closeAux() {
-	rt.auxMu.Lock()
-	closers := rt.auxClosers
-	rt.auxClosers = nil
-	rt.auxMu.Unlock()
-	for i := len(closers) - 1; i >= 0; i-- {
-		closers[i]()
-	}
-}
 
 // noteFatal records a run-fatal error: the first one wins and becomes
 // Run's return value, later ones are kept (bounded) for Stats. The same

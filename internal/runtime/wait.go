@@ -24,7 +24,7 @@ import (
 //
 // Waiters are pooled. Recycling is reference-counted: refs counts the
 // parties that may still dereference the waiter — the suspending task
-// (through finishWait), the registered cancellation abort, and each
+// (through endWait), the registered cancellation abort, and each
 // armed event delivery (timer, queue entry, future waiter entry,
 // fault-injected duplicate). A waiter returns to the pool only at
 // refcount zero, so a late waker always sees the frozen epoch of the
@@ -65,8 +65,8 @@ type wakeSource interface {
 // The caller has already called home.suspend().
 //
 // The returned waiter starts with two references: the task's own
-// (released at the end of finishWait) and the cancellation scope's
-// (consumed by abortWait, or released by finishWait when the wait
+// (released at the end of endWait) and the cancellation scope's
+// (consumed by abortWait, or released by endWait when the wait
 // deregisters cleanly). Event sources add their own before publishing.
 //
 //lhws:nosuspend
@@ -229,11 +229,17 @@ func deliverDelayed(arg any) {
 	wt.release()
 }
 
-// finishWait yields to the worker loop and, once resumed, deregisters
-// the wait from the scope, releases the task's references, and unwinds
-// if the wake was an abort.
+// finishWait yields to the worker loop and, once resumed, ends the wait
+// (see endWait).
 func (c *Ctx) finishWait(wt *waiter) {
 	c.yield()
+	c.endWait(wt)
+}
+
+// endWait runs on the resumed task: it deregisters the wait from the
+// scope, releases the task's references, and unwinds if the wake was an
+// abort.
+func (c *Ctx) endWait(wt *waiter) {
 	if c.scope.removeWait(wt) {
 		// Deregistered before the scope fired: the scope's abort will
 		// never run, so its reference is released here. If removeWait
