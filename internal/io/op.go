@@ -19,9 +19,8 @@ import (
 // deadline, Go's netpoller (epoll on Linux, kqueue on the BSDs) parks
 // the goroutine until the socket is ready, and the op completes its
 // handle, which re-injects the task through its deque's bulk resumed
-// path. A suspended task already owns a parked goroutine — the shell
-// that will receive its next worker grant — so waiting costs no
-// goroutine beyond the task's own.
+// path. A suspended task keeps its own goroutine, parked until its next
+// worker grant, so waiting costs no goroutine beyond the task's own.
 //
 // Cancellation never waits for readiness: aborting a suspended I/O task
 // kicks the call in flight by setting the socket's deadline into the

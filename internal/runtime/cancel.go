@@ -30,7 +30,7 @@ var (
 
 // cancelPanic is the unwinding vehicle for cooperative cancellation: a
 // task whose scope is canceled panics with this value at its next
-// scheduling point, and task.main converts it into the task's error
+// scheduling point, and task.runOne converts it into the task's error
 // instead of treating it as a crash. The type is unexported so user
 // code cannot forge one; user recovers that swallow it are tolerated —
 // the next scheduling point re-raises.

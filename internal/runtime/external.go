@@ -18,10 +18,10 @@ import (
 // per drain, Figure 3 lines 7-14).
 //
 // How the world's answer is waited for is not part of the algorithm. A
-// suspended task already owns a parked goroutine — the shell that will
-// receive its next worker grant — so an operation that is a blocking
-// call (a socket read, a channel receive) runs that call there, in
-// ExternalOp.Block, after the task has released its worker: Go's
+// suspending task hands its worker to another goroutine and keeps its
+// own, parked until its next worker grant, so an operation that is a
+// blocking call (a socket read, a channel receive) runs that call there,
+// in ExternalOp.Block, after the task has released its worker: Go's
 // netpoller parks the goroutine, and no helper goroutine or readiness
 // engine sits between the syscall and the scheduler.
 
@@ -125,8 +125,8 @@ func (h ExternalHandle) Discard(err error) {
 //
 // Block is the operation's blocking step. The runtime calls it exactly
 // once per Arm, on the task's own goroutine: in latency-hiding mode
-// after the task has reported itself suspended (its worker is already
-// running other work) and before it waits for its next grant; in
+// after the task has released its worker (which is already running
+// other work) and before it waits for its next grant; in
 // Blocking mode inline, with the worker held. An operation whose result
 // arrives as a blocking call (a socket read) makes that call here and
 // completes the handle itself; an operation completed from elsewhere
@@ -181,11 +181,11 @@ func (c *Ctx) AwaitExternalOp(site string, kind WaitKind, op ExternalOp) (int, e
 	c.armScope(wt)
 	// Release the worker, run the blocking step on this goroutine, then
 	// wait for a grant. A wake claimed while Block still runs (its own
-	// Complete, or an abort) leaves the grant in the buffered resume
-	// channel, and the granting worker waits for this task's next
-	// report — which is why Block must return promptly once its handle
+	// Complete, or an abort) leaves the grant — the worker itself — in
+	// the buffered resume channel, where it runs nothing until Block
+	// returns: which is why Block must return promptly once its handle
 	// is claimed.
-	t.report <- reportSuspended
+	t.release()
 	op.Block(h)
 	t.w = <-t.resume
 	c.endWait(wt)
@@ -359,7 +359,7 @@ func (o *chanOp[T]) Block(h ExternalHandle) {
 		// The abort claimed the wait and a worker granted the task; drop
 		// the completer's reference and hand the grant back to
 		// AwaitExternalOp (the buffered channel is empty: it was just
-		// drained, and nothing else sends until the task reports again).
+		// drained, and nothing else grants until the task suspends again).
 		h.Discard(nil)
 		grant <- w
 	}

@@ -189,8 +189,9 @@ func (f *Future) awaitBlocking(c *Ctx) error {
 		}
 		c.checkpoint()
 		// Help: run tasks from the worker's own deque inline. The awaiting
-		// task holds the worker's owner role, so it may pop and grant the
-		// role to a sub-task for the duration of the inline run.
+		// task holds the worker's owner role, so it may pop a sub-task and
+		// run it on its own stack, lending it the role for that run
+		// (Blocking-mode tasks never suspend, so the worker comes back).
 		if it, ok := c.t.w.active.q.PopBottom(); ok {
 			c.t.w.runTask(c.t.w.resolveItem(it))
 			continue

@@ -14,12 +14,15 @@ import "sync"
 //     migrate between workers under skewed spawn/steal patterns.
 //
 // Pools are per-run (hung off runtimeState) so shells never cross Run
-// invocations; parked shell goroutines exit when Run closes rt.poolStop.
+// invocations. A shell owns no goroutine between lives: each life runs
+// on the carrier that picks it up (see task).
 //
 // Safety notes, in one place:
 //
-//   - task shells: recycled only after the final reportDone handoff, which
-//     happens-before the recycling worker touches the shell. The shell's
+//   - task shells: recycled by the goroutine that ran the task's final
+//     slice, after runOne returns, into the worker that goroutine holds
+//     at completion — the same goroutine that wrote every task-side
+//     field, so no handoff needs to order the reset. The shell's
 //     suspension epoch is never reset, so stale wakeups aimed at a
 //     previous life fail their claim CAS (see task, waiter).
 //   - futures: recycled only through awaitConsume, whose contract is that
@@ -62,7 +65,7 @@ const (
 // runtimePools are the per-run shared backstops behind the worker-local
 // free lists.
 type runtimePools struct {
-	tasks   sync.Pool // *task (shell + channels + parked goroutine)
+	tasks   sync.Pool // *task (shell + resume channel)
 	futures sync.Pool // *Future (pooled path only)
 	waiters sync.Pool // *waiter
 	rdeques sync.Pool // *rdeque (idle; Chase–Lev buffer kept, indices intact)
@@ -72,7 +75,7 @@ type runtimePools struct {
 
 // acquireTask returns a shell ready to run fn: from the worker-local free
 // list, the run's pool, or freshly allocated. Recycled shells keep their
-// channels, goroutine, and epoch. Owner-role access only.
+// resume channel and epoch. Owner-role access only.
 //
 //lhws:nonblocking
 func (w *worker) acquireTask(fn func(*Ctx)) *task {
@@ -91,13 +94,14 @@ func (w *worker) acquireTask(fn func(*Ctx)) *task {
 	return t
 }
 
-// releaseTask returns a completed shell to the free list. Called by the
-// worker (or an inline helper holding its owner role) after receiving the
-// shell's reportDone, which orders all task-side writes before the reset.
+// releaseTask returns a completed shell to the free list of w, the worker
+// held by the goroutine that ran the shell's final slice, once runOne has
+// returned. started is reset so the next life runs inline.
 //
 //lhws:nonblocking
 func (w *worker) releaseTask(t *task) {
 	t.fn = nil
+	t.started = false
 	t.fut = nil
 	t.scope = nil
 	t.home = nil

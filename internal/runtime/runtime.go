@@ -24,11 +24,16 @@
 //     goroutine); Await helps by running queued tasks inline and otherwise
 //     blocks the worker until the future completes.
 //
-// Tasks are goroutines, but scheduled cooperatively: a task runs only while
-// it holds its worker's slot, and control passes back to the worker loop at
-// every scheduling point. This is the standard way to build a user-level
-// scheduler above the Go runtime, which does not expose its own scheduler
-// for replacement.
+// Tasks run cooperatively on the goroutines that carry the worker loops: a
+// task runs only while its goroutine holds a worker, and a fresh task runs
+// inline on the goroutine that pops it, as a worker executes a vertex
+// itself in Figure 3. Only a real suspension moves the worker — the
+// suspending task hands it to an idle carrier goroutine and parks its own
+// goroutine until a resume grants it a worker again — much as the Go
+// runtime hands off a P when an M blocks in a system call. Goroutines =
+// suspended tasks + P + idle carriers. This is how a user-level scheduler
+// sits above the Go runtime, which does not expose its own scheduler for
+// replacement.
 //
 // On top of the scheduler sits a resilience layer:
 //
@@ -246,7 +251,7 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	if cfg.MaxStealBatch < 0 {
 		return nil, fmt.Errorf("%w: MaxStealBatch must be >= 0, got %d", ErrConfig, cfg.MaxStealBatch)
 	}
-	rt := &runtimeState{cfg: cfg, done: make(chan struct{}), poolStop: make(chan struct{})}
+	rt := &runtimeState{cfg: cfg, done: make(chan struct{}), idle: make(chan *worker)}
 	rt.trackSuspends = cfg.StallTimeout > 0
 	rt.maxSteal = cfg.MaxStealBatch
 	if rt.maxSteal == 0 {
@@ -284,20 +289,17 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
+	rt.loops.Add(len(rt.workers))
 	for _, w := range rt.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.loop()
-		}(w)
+		w.adoptDeque(newRdeque(w))
+		go w.loop()
 	}
-	wg.Wait()
+	rt.loops.Wait()
 	wall := time.Since(start)
-	// The run has drained: release every parked pooled task goroutine
-	// and quiesce the timer wheel (after Shutdown returns no timer
-	// callback — including the root deadline — can fire).
-	close(rt.poolStop)
+	// The run has drained: release every idle carrier and quiesce the
+	// timer wheel (after Shutdown returns no timer callback — including
+	// the root deadline — can fire).
+	close(rt.idle)
 	close(watchStop)
 	rt.wheel.Shutdown()
 
@@ -371,9 +373,16 @@ type runtimeState struct {
 	stats      atomicStats
 	shards     []statShard // per-worker hot counters (see stats.go)
 	pools      runtimePools
-	// poolStop, closed when the run drains, releases every pooled task
-	// goroutine parked between lives (see task.main).
-	poolStop chan struct{}
+	// loops counts the worker loops still running. Each worker's loop
+	// ends once, on whichever carrier holds the worker when the run
+	// drains (see worker.loop).
+	loops sync.WaitGroup
+	// idle hands workers from suspending tasks to idle carriers (see
+	// task.release, worker.runTask); Run closes it once every loop has
+	// ended, releasing the idle carriers. idlers counts the carriers that
+	// will receive on idle and that no suspending task has claimed yet.
+	idle   chan *worker
+	idlers atomic.Int32
 	// trackSuspends mirrors StallTimeout > 0: the suspension registry is
 	// maintained only for the watchdog (see wait.go).
 	trackSuspends bool

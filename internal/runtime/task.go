@@ -8,27 +8,30 @@ import (
 	"lhws/internal/faultpoint"
 )
 
-// reportKind is what a task tells its current worker when control returns
-// to the worker loop.
-type reportKind int8
-
-const (
-	reportDone reportKind = iota
-	reportSuspended
-)
-
-// task is a user-level thread. Tasks are backed by goroutines but run
-// cooperatively: a task executes only between receiving a worker on its
-// resume channel and sending a report, so at most one of {worker loop,
-// its current task} is active per worker at any instant. That mutual
-// exclusion is what makes owner-side deque operations from task code safe.
+// task is a user-level thread. A task runs on the goroutine of the
+// carrier that picks it up: a fresh task runs inline, on the stack of
+// whichever goroutine holds its worker (see runTask), so a task that
+// never suspends costs no goroutine switch. Only a suspension moves
+// the worker: the suspending task hands its worker to another goroutine
+// (release) and parks its own goroutine on the resume channel until some
+// worker grants it one again. A task therefore executes only while its
+// goroutine holds a worker, and each worker is held by exactly one
+// goroutine at a time, so at most one task or loop is active per worker
+// at any instant. That mutual exclusion is what makes owner-side deque
+// operations from task code safe.
 //
-// Task shells are pooled: when a recyclable task reports done, its worker
-// returns the shell — struct, resume/report channels, and the parked
-// goroutine — to the worker-local free list (overflowing into the
-// runtime's sync.Pool), and Ctx.Spawn reuses it for the next child instead
-// of paying newTask + go t.main(). The goroutine survives across lives by
-// looping in main; it exits when the run closes rt.poolStop.
+// Every goroutine of a run is in one of three states: it holds a worker
+// (P of them), it is a suspended task parked on its resume channel, or
+// it is an idle carrier that granted its worker to a resumed task and
+// waits on the run's idle channel for a worker to carry. Goroutines =
+// suspended tasks + P + idle carriers.
+//
+// Task shells are pooled: when a recyclable task finishes, the goroutine
+// that ran its final slice returns the shell — struct and resume
+// channel — to the free list of the worker it holds at that moment
+// (overflowing into the runtime's sync.Pool), and Ctx.Spawn reuses it for
+// the next child instead of allocating. A shell owns no goroutine
+// between lives.
 //
 // epoch is deliberately NOT reset between lives: the suspension-claim CAS
 // in waiter.wake relies on it increasing monotonically for the lifetime of
@@ -37,15 +40,14 @@ const (
 type task struct {
 	rt      *runtimeState
 	fn      func(*Ctx)
-	resume  chan *worker    // scheduler → task: run on this worker
-	report  chan reportKind // task → scheduler: done or suspended
-	started bool            // goroutine launched (owner-role access only)
-	recycle bool            // shell returns to the pool on completion
-	home    *rdeque         // deque the task belongs to while suspended
-	w       *worker         // current worker; task-goroutine access only
-	scope   *cancelScope    // cancellation scope the task was spawned under
-	fut     *Future         // completion future (nil for the root task)
-	ctx     Ctx             // the task's Ctx, re-initialized each life
+	resume  chan *worker // grant: run on this worker (started tasks only)
+	started bool         // running or suspended this life (owner-role access only)
+	recycle bool         // shell returns to the pool on completion
+	home    *rdeque      // deque the task belongs to while suspended
+	w       *worker      // worker the task's goroutine holds; task-side access only
+	scope   *cancelScope // cancellation scope the task was spawned under
+	fut     *Future      // completion future (nil for the root task)
+	ctx     Ctx          // the task's Ctx, re-initialized each life
 
 	// epoch is the suspension epoch: odd while a suspension is open,
 	// advanced by beginWait and by the (unique) claiming wakeup. See
@@ -58,8 +60,8 @@ type task struct {
 	// claiming wake to AwaitExternalOp's return (see waiter).
 	extN   int
 	extErr error
-	// err is the task's outcome, written by its own goroutine before the
-	// final report: nil, a cancellation cause, or a wrapped panic.
+	// err is the task's outcome, written by the task before runOne
+	// returns: nil, a cancellation cause, or a wrapped panic.
 	err error
 }
 
@@ -69,24 +71,6 @@ func newTask(rt *runtimeState, fn func(*Ctx)) *task {
 		rt:     rt,
 		fn:     fn,
 		resume: make(chan *worker, 1),
-		report: make(chan reportKind, 1),
-	}
-}
-
-// main is the task goroutine body: each iteration is one task life — wait
-// for the first grant, run the current user function, report — after which
-// the shell may be re-armed with a new fn by Spawn. Between lives the
-// goroutine parks on the resume channel; rt.poolStop is closed when the
-// run drains, releasing every parked shell goroutine (no leaks).
-func (t *task) main() {
-	for {
-		select {
-		case w := <-t.resume:
-			t.w = w
-			t.runOne()
-		case <-t.rt.poolStop:
-			return
-		}
 	}
 }
 
@@ -97,9 +81,8 @@ func (t *task) main() {
 // instead of hanging or leaking goroutines. A cancelPanic — the
 // cooperative-cancellation unwind — becomes the task's error without
 // being fatal to the run. Either way the task's future completes (with the
-// error) so joins unwind, and the task reports done so its worker
-// continues. After the report send the goroutine must not touch any task
-// field: the worker may already be recycling the shell into a new life.
+// error) so joins unwind, and runOne returns to the runTask frame that
+// started it, on the goroutine that now holds t.w.
 func (t *task) runOne() {
 	t.ctx = Ctx{t: t, scope: t.scope}
 	c := &t.ctx
@@ -125,7 +108,6 @@ func (t *task) runOne() {
 			t.fut.complete(t.err)
 		}
 		t.rt.taskDone()
-		t.report <- reportDone
 	}()
 	if inj := t.rt.cfg.Faults; inj != nil {
 		inj.Inject(faultpoint.TaskBody)
@@ -157,7 +139,7 @@ func (c *Ctx) Worker() int { return c.t.w.id }
 // The child's shell comes from the worker's task free list, so a
 // steady-state spawn costs one Future allocation plus the closure.
 //
-//lhws:owner a running task holds its worker's owner role between resume and report (see task)
+//lhws:owner a running task holds its worker's owner role from its grant until it releases the worker or finishes (see task)
 func (c *Ctx) Spawn(f func(*Ctx)) *Future {
 	return c.spawn(f, newFuture())
 }
@@ -172,7 +154,7 @@ func (c *Ctx) spawnPooled(f func(*Ctx)) *Future {
 	return c.spawn(f, c.t.w.acquireFuture())
 }
 
-//lhws:owner a running task holds its worker's owner role between resume and report (see task)
+//lhws:owner a running task holds its worker's owner role from its grant until it releases the worker or finishes (see task)
 func (c *Ctx) spawn(f func(*Ctx), fut *Future) *Future {
 	c.checkpoint()
 	child := c.t.w.acquireTask(f)
@@ -251,10 +233,46 @@ func (c *Ctx) injectFault(p faultpoint.Point) {
 	}
 }
 
-// yield returns control to the worker loop, reporting suspension, and
-// parks until some worker resumes the task; the Ctx is rebound to the
-// resuming worker.
+// yield suspends the task: it hands the worker on (release) and parks
+// until some worker resumes the task; the Ctx is rebound to the resuming
+// worker.
 func (c *Ctx) yield() {
-	c.t.report <- reportSuspended
+	c.t.release()
 	c.t.w = <-c.t.resume
+}
+
+// release gives up the worker a suspending task holds. The task still
+// has the owner role until it lets go, so it takes the loop's next step
+// itself: it drains its worker's resumed deques and pops the next item.
+// A started task popped here — often the very one suspending, when its
+// wake already arrived — is granted the worker directly, goroutine to
+// goroutine. Otherwise the worker, with any fresh task it popped
+// assigned, goes to an idle carrier, or to a new one when none is idle;
+// the carrier runs the worker's loop. A carrier counts itself idle
+// (rt.idlers) before it grants its worker away, and a suspending task
+// claims a counted carrier — its send waits for that carrier to reach
+// the receive — before it would start another. The goroutine count thus
+// grows only while more tasks are suspended than ever before in the run.
+//
+//lhws:owner the suspending task holds its worker's owner role until the handoff below
+func (t *task) release() {
+	w := t.w
+	w.stat.running.Add(-1)
+	w.drainResumed()
+	if it, ok := w.active.q.PopBottom(); ok {
+		next := w.resolveItem(it)
+		if next.started {
+			w.grant(next)
+			return
+		}
+		w.assigned = next
+	}
+	rt := t.rt
+	for n := rt.idlers.Load(); n > 0; n = rt.idlers.Load() {
+		if rt.idlers.CompareAndSwap(n, n-1) {
+			rt.idle <- w
+			return
+		}
+	}
+	go w.loop()
 }

@@ -57,15 +57,22 @@ func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
 // loop is the latency-hiding scheduling loop (Figure 3). It must never
 // park: a blocked worker neither executes ready work nor steals, which
 // is the idle time Theorem 2's bound assumes away. The only sanctioned
-// waits are the task-grant handoff in runTask and the escalating
-// backoff, both justified at their call sites.
+// waits are the idle-carrier receive in runTask, taken only after the
+// worker has been granted away, and the escalating backoff, both
+// justified at their call sites.
+//
+// The loop runs on a carrier: a goroutine that executes fresh tasks
+// inline and keeps whatever worker it holds when a task returns (see
+// runTask), so w is rebound after every task. The loop of each worker
+// exits exactly once, on the goroutine that holds it when the run
+// drains.
 //
 //lhws:nonblocking
-//lhws:owner the worker-loop goroutine is the unique owner of its active deque
+//lhws:owner the carrier goroutine holding w is the unique owner of w's active deque
 func (w *worker) loop() {
-	w.adoptDeque(newRdeque(w))
 	if w.rt.cfg.Mode == Blocking {
 		w.loopBlocking()
+		w.rt.loops.Done()
 		return
 	}
 	for {
@@ -79,7 +86,10 @@ func (w *worker) loop() {
 		}
 		if t != nil {
 			w.failedSteals = 0
-			w.runTask(t) //lhws:allowblock the grant handoff parks the loop only while its task runs; the task yields back at every scheduling point
+			//lhws:allowblock the task's body runs inline until it finishes or suspends, as a worker executes a vertex itself; a suspension hands the worker on instead of parking it
+			if w = w.runTask(t); w == nil {
+				return // idle when the run drained; held no worker
+			}
 			continue
 		}
 		w.retireActive()
@@ -90,6 +100,7 @@ func (w *worker) loop() {
 			continue
 		}
 		if w.rt.finished() {
+			w.rt.loops.Done()
 			return
 		}
 		w.backoff()
@@ -99,7 +110,9 @@ func (w *worker) loop() {
 // loopBlocking is the baseline work-stealing loop. It is held to the
 // same no-parking discipline as loop: in Blocking mode the latency cost
 // lands inside tasks (time.Sleep on the worker's goroutine during
-// runTask), not in the scheduling loop itself.
+// runTask), not in the scheduling loop itself. Blocking-mode tasks never
+// suspend, so every task runs inline and the worker never changes
+// goroutine.
 //
 //lhws:nonblocking
 //lhws:owner the worker-loop goroutine is the unique owner of its single deque
@@ -114,7 +127,7 @@ func (w *worker) loopBlocking() {
 		}
 		if t != nil {
 			w.failedSteals = 0
-			//lhws:allowblock blocking-mode tasks run to completion on the grant; that cost is the baseline being measured
+			//lhws:allowblock blocking-mode tasks run to completion inline; that cost is the baseline being measured
 			w.runTask(t)
 			continue
 		}
@@ -128,26 +141,44 @@ func (w *worker) loopBlocking() {
 	}
 }
 
-// runTask grants the worker's slot to the task and waits for it to either
-// finish or suspend. Also used inline by blocking-mode Await to help run
-// queued tasks. The running counter brackets the grant so the watchdog can
-// tell an actively executing run from a stalled one. A finished shell is
-// returned to the task free list here: the report-channel receive orders
-// every task-side write before the recycle.
-func (w *worker) runTask(t *task) reportKind {
+// runTask runs t on w and returns the worker the calling goroutine holds
+// afterwards. A fresh task runs inline, on this goroutine's stack; if it
+// suspends, its goroutine hands the worker on (see task.release) and,
+// once resumed, finishes the task on whichever worker granted it — the
+// worker returned here. A started (suspended, now resumed) task already
+// has its own goroutine parked on its resume channel: runTask grants it
+// w and this goroutine goes idle, counted in rt.idlers before the grant,
+// until a suspending task hands it a worker; it returns nil once the run
+// has drained and Run closes rt.idle. Also used inline by blocking-mode
+// waits to help run queued tasks. The running counter brackets each
+// grant so the watchdog can tell an actively executing run from a
+// stalled one. A finished shell recycles into the worker its goroutine
+// holds at completion.
+func (w *worker) runTask(t *task) *worker {
+	if t.started {
+		w.rt.idlers.Add(1)
+		w.grant(t)
+		return <-w.rt.idle //lhws:allowblock this goroutine holds no worker here: its worker was just granted to t, so waiting idles no worker
+	}
 	w.stat.tasksRun.Add(1)
 	w.stat.running.Add(1)
-	if !t.started {
-		t.started = true
-		go t.main()
-	}
-	t.resume <- w
-	r := <-t.report
+	t.started = true
+	t.w = w
+	t.runOne()
+	w = t.w
 	w.stat.running.Add(-1)
-	if r == reportDone && t.recycle {
+	if t.recycle {
 		w.releaseTask(t)
 	}
-	return r
+	return w
+}
+
+// grant hands w to the goroutine of t, a started task parked on its
+// resume channel, for t's next run slice.
+func (w *worker) grant(t *task) {
+	w.stat.tasksRun.Add(1)
+	w.stat.running.Add(1)
+	t.resume <- w //lhws:allowblock the resume channel has one slot and holds no grant while its task is suspended, so the send never waits
 }
 
 // drainResumed implements addResumedVertices (Figure 3, lines 7-14): for
@@ -158,7 +189,7 @@ func (w *worker) runTask(t *task) reportKind {
 // the tree and pushes the task directly.
 //
 //lhws:nonblocking
-//lhws:owner runs on the worker-loop goroutine, which owns every deque it drains
+//lhws:owner runs holding w's owner role (its carrier's loop, or a suspending task in release), and w owns every deque it drains
 func (w *worker) drainResumed() {
 	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical sections, never held across a wait
 	dqs := w.resumedDq
